@@ -393,26 +393,40 @@ let solver_exp () =
   in
   let rounds = 8 in
   let n = rounds * List.length queries in
-  let run session =
-    let verdicts = ref [] in
+  let sweep solve =
+    let outcomes = ref [] in
     let _, t =
       time_it (fun () ->
           for _ = 1 to rounds do
             List.iter
               (fun q ->
-                verdicts :=
-                  (match Solver.check ~session q with
-                   | Solver.Sat _ -> `Sat
+                outcomes :=
+                  (match solve q with
+                   | Solver.Sat m ->
+                       `Sat
+                         (List.sort compare
+                            (Hashtbl.fold (fun v x acc -> (v, x) :: acc) m []))
                    | Solver.Unsat -> `Unsat
                    | Solver.Unknown -> `Unknown)
-                  :: !verdicts)
+                  :: !outcomes)
               queries
           done)
     in
-    (List.rev !verdicts, Solver.Session.stats session, t)
+    (List.rev !outcomes, t)
   in
-  let v0, st0, t0 = run (Solver.Session.create ~cache_capacity:0 ()) in
+  let run session =
+    let v, t = sweep (fun q -> Solver.check ~session q) in
+    (v, Solver.Session.stats session, t)
+  in
+  let off_session = Solver.Session.create ~cache_capacity:0 () in
+  let v0, st0, t0 = run off_session in
   let v1, st1, t1 = run (Solver.Session.create ()) in
+  (* The cache-off session blasted every residual query in its one
+     reused arena; a session-less check blasts each in a fresh context.
+     Verdicts and models must not tell the two apart. *)
+  let conflict_budget = Solver.Session.conflict_budget off_session in
+  let v_fresh, t_fresh = sweep (fun q -> Solver.check ~conflict_budget q) in
+  let arena_parity = v0 = v_fresh in
   let per_query t = 1e6 *. t /. float_of_int n in
   Printf.printf
     "  cache off: %d queries  quick=%d blasted=%d unknown=%d  %.4fs (%.1f us/query)\n"
@@ -425,13 +439,17 @@ let solver_exp () =
        ~total:(st1.Solver.st_cache_hits + st1.Solver.st_cache_misses))
     t1 (per_query t1);
   let ok =
-    v0 = v1 && st1.Solver.st_cache_hits > 0
+    v0 = v1 && arena_parity && st1.Solver.st_cache_hits > 0
     && st1.Solver.st_blasted < st0.Solver.st_blasted
   in
   Printf.printf
-    "  verdicts identical: %b  blasting runs saved: %d\n"
+    "  fresh context per query: %.4fs (%.1f us/query)\n" t_fresh
+    (per_query t_fresh);
+  Printf.printf
+    "  verdicts identical: %b  blasting runs saved: %d  arena = fresh (verdicts and models): %b\n"
     (v0 = v1)
-    (st0.Solver.st_blasted - st1.Solver.st_blasted);
+    (st0.Solver.st_blasted - st1.Solver.st_blasted)
+    arena_parity;
   json_record ~experiment:"solver"
     ~bounds:
       [
@@ -447,11 +465,17 @@ let solver_exp () =
             st1.Solver.st_cache_hits > 0
             && st1.Solver.st_blasted < st0.Solver.st_blasted;
         };
+        {
+          jb_name = "arena_parity";
+          jb_bound = "session arena and fresh context: identical verdicts and models";
+          jb_pass = arena_parity;
+        };
       ]
     [
       ("queries", float_of_int n);
       ("cache_off_s", t0);
       ("cache_on_s", t1);
+      ("fresh_context_s", t_fresh);
       ("cache_hits", float_of_int st1.Solver.st_cache_hits);
       ("blasts_saved", float_of_int (st0.Solver.st_blasted - st1.Solver.st_blasted));
     ];

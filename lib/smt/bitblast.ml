@@ -6,19 +6,34 @@
     multiplication, restoring division and barrel shifters — standard
     circuits, adequate for the ≤64-bit constraints the fuzzer emits. *)
 
+module Int_tbl = Hashtbl.Make (Int)
+
 type ctx = {
   sat : Sat.t;
-  var_bits : (int, int array) Hashtbl.t;  (** expr var id → literals *)
-  cache : (int, int array) Hashtbl.t;  (** expr tag → literals *)
+  var_bits : int array Int_tbl.t;  (** expr var id → literals *)
+  cache : int array Int_tbl.t;  (** expr tag → literals *)
   true_lit : int;
 }
 
+(* Variable 0 of an empty solver, asserted true. *)
+let pin_true sat =
+  let true_lit = Sat.lit_of_var (Sat.new_var sat) ~positive:true in
+  ignore (Sat.add_clause sat [ true_lit ]);
+  true_lit
+
 let create () =
   let sat = Sat.create () in
-  let tv = Sat.new_var sat in
-  let true_lit = Sat.lit_of_var tv ~positive:true in
-  ignore (Sat.add_clause sat [ true_lit ]);
-  { sat; var_bits = Hashtbl.create 64; cache = Hashtbl.create 256; true_lit }
+  let true_lit = pin_true sat in
+  { sat; var_bits = Int_tbl.create 64; cache = Int_tbl.create 256; true_lit }
+
+(* The tables are only probed, never iterated, so keeping their bucket
+   arrays across a reset cannot change what blasting produces. *)
+let reset ctx =
+  Sat.reset ctx.sat;
+  Int_tbl.clear ctx.var_bits;
+  Int_tbl.clear ctx.cache;
+  let true_lit = pin_true ctx.sat in
+  assert (true_lit = ctx.true_lit)
 
 let false_lit ctx = Sat.neg ctx.true_lit
 
@@ -209,11 +224,11 @@ let count_zeros ctx ~(from_msb : bool) (a : int array) : int array =
 (* ---- expression translation ----------------------------------------- *)
 
 let rec blast (ctx : ctx) (e : Expr.t) : int array =
-  match Hashtbl.find_opt ctx.cache e.Expr.tag with
+  match Int_tbl.find_opt ctx.cache e.Expr.tag with
   | Some bits -> bits
   | None ->
       let bits = blast_uncached ctx e in
-      Hashtbl.replace ctx.cache e.Expr.tag bits;
+      Int_tbl.replace ctx.cache e.Expr.tag bits;
       bits
 
 and blast_uncached ctx (e : Expr.t) : int array =
@@ -223,11 +238,11 @@ and blast_uncached ctx (e : Expr.t) : int array =
       Array.init w (fun i ->
           const_lit ctx (Int64.logand (Int64.shift_right_logical v i) 1L = 1L))
   | Var v -> (
-      match Hashtbl.find_opt ctx.var_bits v.vid with
+      match Int_tbl.find_opt ctx.var_bits v.vid with
       | Some bits -> bits
       | None ->
           let bits = Array.init v.vwidth (fun _ -> fresh ctx) in
-          Hashtbl.replace ctx.var_bits v.vid bits;
+          Int_tbl.replace ctx.var_bits v.vid bits;
           bits)
   | Unop (Not, a) -> Array.map Sat.neg (blast ctx a)
   | Unop (Neg, a) -> negate_bits ctx (blast ctx a)
@@ -309,7 +324,7 @@ let assert_true ctx (e : Expr.t) =
 
 (** Extract the value of an expression variable from the SAT model. *)
 let model_of_var ctx (v : Expr.var) : int64 =
-  match Hashtbl.find_opt ctx.var_bits v.vid with
+  match Int_tbl.find_opt ctx.var_bits v.vid with
   | None -> 0L  (* unconstrained *)
   | Some bits ->
       let r = ref 0L in

@@ -2,14 +2,22 @@
     encoding) over the {!Sat} solver.  Expressions become arrays of SAT
     literals, least-significant bit first. *)
 
+module Int_tbl : Hashtbl.S with type key = int
+
 type ctx = {
   sat : Sat.t;
-  var_bits : (int, int array) Hashtbl.t;  (** expression variable id -> literals *)
-  cache : (int, int array) Hashtbl.t;  (** expression tag -> literals *)
+  var_bits : int array Int_tbl.t;  (** expression variable id -> literals *)
+  cache : int array Int_tbl.t;  (** expression tag -> literals *)
   true_lit : int;  (** a literal pinned true *)
 }
 
 val create : unit -> ctx
+
+val reset : ctx -> unit
+(** Return the context to exactly the state [create ()] produces (see
+    {!Sat.reset}), keeping the capacity of its solver and tables.  Blasting
+    the same constraints afterwards yields the same CNF and model as on a
+    fresh context. *)
 
 val blast : ctx -> Expr.t -> int array
 (** Literals of an expression (cached structurally). *)

@@ -14,7 +14,8 @@ type clause = {
   mutable cact : float;
 }
 
-(* Growable int/clause vectors. *)
+(* Growable int/clause vectors.  Every slot at or past [size] holds
+   [dummy], so a vector never keeps a removed element alive. *)
 module Vec = struct
   type 'a t = { mutable data : 'a array; mutable size : int; dummy : 'a }
 
@@ -32,8 +33,13 @@ module Vec = struct
   let get v i = v.data.(i)
   let set v i x = v.data.(i) <- x
   let size v = v.size
-  let shrink v n = v.size <- n
-  let _clear v = v.size <- 0
+
+  let shrink v n =
+    Array.fill v.data n (v.size - n) v.dummy;
+    v.size <- n
+
+  (* Empty the vector, keeping its capacity. *)
+  let clear v = shrink v 0
 end
 
 type t = {
@@ -57,6 +63,7 @@ type t = {
   mutable heap_pos : int array;  (** -1 when not in heap *)
   mutable ok : bool;
   mutable conflicts : int;
+  mutable cbuf : int array;  (** reused buffer for [add_clause] normalisation *)
 }
 
 let dummy_clause = { lits = [||]; learnt = false; cact = 0.0 }
@@ -82,7 +89,37 @@ let create () =
     heap_pos = Array.make 1 (-1);
     ok = true;
     conflicts = 0;
+    cbuf = Array.make 8 0;
   }
+
+(* Return [s] to the state [create ()] produces while keeping every array's
+   capacity.  Only slots of the variables and literals in use can differ
+   from their initial values, and the solver never reads a slot past
+   [nvars] (resp. [2 * nvars]) without first growing into it, so a reset
+   instance behaves exactly like a fresh one: same variable numbering,
+   same clause order, same search. *)
+let reset s =
+  let n = s.nvars in
+  Array.fill s.assign 0 n (-1);
+  Array.fill s.level 0 n 0;
+  Array.fill s.reason 0 n None;
+  Array.fill s.activity 0 n 0.0;
+  Array.fill s.polarity 0 n false;
+  Array.fill s.heap_pos 0 n (-1);
+  for l = 0 to (2 * n) - 1 do
+    Vec.clear s.watches.(l)
+  done;
+  Vec.clear s.clauses;
+  Vec.clear s.learnts;
+  Vec.clear s.trail;
+  Vec.clear s.trail_lim;
+  s.nvars <- 0;
+  s.qhead <- 0;
+  s.var_inc <- 1.0;
+  s.cla_inc <- 1.0;
+  s.heap_size <- 0;
+  s.ok <- true;
+  s.conflicts <- 0
 
 (* ---- variable/literal helpers ------------------------------------- *)
 
@@ -201,27 +238,60 @@ let var_decay s = s.var_inc <- s.var_inc /. 0.95
 
 let watch s l c = Vec.push s.watches.(l) c
 
-(** Add a clause; returns false if the instance is already unsat. *)
+(** Add a clause; returns false if the instance is already unsat.
+
+    The literals are normalised in [s.cbuf] without allocating: sorted
+    ascending and deduplicated; the clause is dropped as a tautology when
+    it holds both polarities of a variable (adjacent once sorted, since
+    they differ only in the low bit) or a literal true at level 0; and
+    literals false at level 0 are removed. *)
 let add_clause s (lits : int list) : bool =
   if not s.ok then false
   else begin
-    (* Remove duplicates and true/false literals at level 0. *)
-    let lits = List.sort_uniq compare lits in
-    let tautology =
-      List.exists (fun l -> List.mem (neg l) lits || lit_value s l = 1) lits
-    in
-    if tautology then true
+    let len = List.length lits in
+    if len > Array.length s.cbuf then s.cbuf <- Array.make (2 * len) 0;
+    let buf = s.cbuf in
+    (* Insertion sort with duplicate removal: clauses are a few literals. *)
+    let n = ref 0 in
+    List.iter
+      (fun l ->
+        let j = ref !n in
+        while !j > 0 && buf.(!j - 1) > l do
+          decr j
+        done;
+        if not (!j > 0 && buf.(!j - 1) = l) then begin
+          Array.blit buf !j buf (!j + 1) (!n - !j);
+          buf.(!j) <- l;
+          incr n
+        end)
+      lits;
+    let n = !n in
+    let tautology = ref false in
+    for i = 0 to n - 1 do
+      if
+        lit_value s buf.(i) = 1
+        || (i + 1 < n && buf.(i + 1) = neg buf.(i))
+      then tautology := true
+    done;
+    if !tautology then true
     else begin
-      let lits = List.filter (fun l -> lit_value s l <> 0) lits in
-      match lits with
-      | [] ->
+      (* Compact away the literals false at level 0. *)
+      let k = ref 0 in
+      for i = 0 to n - 1 do
+        if lit_value s buf.(i) <> 0 then begin
+          buf.(!k) <- buf.(i);
+          incr k
+        end
+      done;
+      match !k with
+      | 0 ->
           s.ok <- false;
           false
-      | [ l ] ->
-          enqueue s l None;
+      | 1 ->
+          enqueue s buf.(0) None;
           true
-      | _ ->
-          let c = { lits = Array.of_list lits; learnt = false; cact = 0.0 } in
+      | k ->
+          let c = { lits = Array.sub buf 0 k; learnt = false; cact = 0.0 } in
           Vec.push s.clauses c;
           watch s (neg c.lits.(0)) c;
           watch s (neg c.lits.(1)) c;

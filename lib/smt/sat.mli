@@ -12,6 +12,12 @@ type t
 
 val create : unit -> t
 
+val reset : t -> unit
+(** Return the instance to exactly the state [create ()] produces, keeping
+    the capacity of its arrays: the same clauses added afterwards yield
+    the same variable numbering, search, model and conflict count as on a
+    fresh instance.  Clauses of the previous instance are released. *)
+
 val new_var : t -> int
 (** Allocate a fresh variable; returns its index. *)
 

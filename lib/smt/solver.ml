@@ -10,10 +10,10 @@
        conflict budget standing in for the paper's 3,000 ms Z3 cap.
 
     Accounting and caching are per {!Session}: each engine run (one
-    target) owns a session carrying its conflict budget, counters, and a
-    bounded LRU of decided constraint sets, so campaign workers never
-    contend on shared state and never share cached verdicts across
-    domains. *)
+    target) owns a session carrying its conflict budget, counters, a
+    bounded LRU of decided constraint sets and a reusable solver arena,
+    so campaign workers never contend on shared state and never share
+    cached verdicts across domains. *)
 
 type model = (int, int64) Hashtbl.t
 (** expr variable id → value *)
@@ -119,9 +119,9 @@ let quick_path (constraints : Expr.t list) :
 (* Full check                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let blast_check ~conflict_budget (constraints : Expr.t list)
-    (pre_model : model) : result =
-  let ctx = Bitblast.create () in
+(* [ctx] must be as [Bitblast.create ()] returns it: fresh, or reset. *)
+let blast_check (ctx : Bitblast.ctx) ~conflict_budget
+    (constraints : Expr.t list) (pre_model : model) : result =
   List.iter (Bitblast.assert_true ctx) constraints;
   match Sat.solve ~conflict_budget ctx.Bitblast.sat with
   | Sat.Unsat -> Unsat
@@ -143,8 +143,11 @@ let blast_check ~conflict_budget (constraints : Expr.t list)
       Sat model
 
 (* Decide without any session bookkeeping; the second component says
-   which tier produced the answer so callers can tally. *)
-let solve_raw ~conflict_budget (constraints : Expr.t list) :
+   which tier produced the answer so callers can tally.  [ctx] supplies
+   the bit-blasting context, and is called only when the quick path
+   leaves a residual. *)
+let solve_raw ~(ctx : unit -> Bitblast.ctx) ~conflict_budget
+    (constraints : Expr.t list) :
     result * [ `Trivial | `Quick | `Blasted | `Blast_unknown ] =
   if List.exists Expr.is_false constraints then (Unsat, `Trivial)
   else
@@ -152,7 +155,7 @@ let solve_raw ~conflict_budget (constraints : Expr.t list) :
     | `Solved model -> (Sat model, `Quick)
     | `Contradiction -> (Unsat, `Trivial)
     | `Residual (residual, model) -> (
-        match blast_check ~conflict_budget residual model with
+        match blast_check (ctx ()) ~conflict_budget residual model with
         | Unknown -> (Unknown, `Blast_unknown)
         | r -> (r, `Blasted))
 
@@ -180,6 +183,8 @@ module Session = struct
     mutable sx_hits : int;
     mutable sx_misses : int;
     mutable sx_subsumed : int;
+    mutable sx_arena : Bitblast.ctx option;
+        (** created on the first blasted query, reset before each one *)
   }
 
   let create ?(conflict_budget = default_conflict_budget)
@@ -199,7 +204,23 @@ module Session = struct
       sx_hits = 0;
       sx_misses = 0;
       sx_subsumed = 0;
+      sx_arena = None;
     }
+
+  (* The session's solver arena, returned to its [Bitblast.create ()]
+     state.  Reusing it spares every blasted query the allocation of a
+     new SAT instance and tables, which would otherwise dominate the
+     query's cost; a reset arena is indistinguishable from a fresh one,
+     so verdicts and models do not depend on the queries before. *)
+  let arena t () =
+    match t.sx_arena with
+    | Some ctx ->
+        Bitblast.reset ctx;
+        ctx
+    | None ->
+        let ctx = Bitblast.create () in
+        t.sx_arena <- Some ctx;
+        ctx
 
   let conflict_budget t = t.sx_budget
 
@@ -333,7 +354,9 @@ let check ?session ?conflict_budget (constraints : Expr.t list) : result =
   in
   match session with
   | None ->
-      let result, tier = solve_raw ~conflict_budget:budget constraints in
+      let result, tier =
+        solve_raw ~ctx:Bitblast.create ~conflict_budget:budget constraints
+      in
       T.stop (stage_of_tier tier) t0;
       result
   | Some s -> (
@@ -352,7 +375,10 @@ let check ?session ?conflict_budget (constraints : Expr.t list) : result =
             T.stop T.Solver_cache t0;
             Unsat
         | None ->
-            let result, tier = solve_raw ~conflict_budget:budget constraints in
+            let result, tier =
+              solve_raw ~ctx:(Session.arena s) ~conflict_budget:budget
+                constraints
+            in
             (match tier with
             | `Trivial -> ()
             | `Quick -> s.Session.sx_quick <- s.Session.sx_quick + 1

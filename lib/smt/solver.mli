@@ -42,8 +42,10 @@ val stats_add : stats -> stats -> stats
 module Session : sig
   type t
   (** Per-engine-run solver context: conflict budget + counters + LRU
-      verdict cache.  Confined to the creating domain; never share a
-      session across campaign workers. *)
+      verdict cache + one reusable bit-blasting arena (a {!Bitblast.ctx},
+      reset before each blasted query, so reuse never changes a verdict
+      or model).  Confined to the creating domain; never share a session
+      across campaign workers. *)
 
   val create : ?conflict_budget:int -> ?cache_capacity:int -> unit -> t
   (** [conflict_budget] defaults to 50_000 CDCL conflicts;
@@ -79,9 +81,12 @@ end
 
 val check : ?session:Session.t -> ?conflict_budget:int -> Expr.t list -> result
 (** Decide the conjunction of constraints.  With [~session], the solve is
-    accounted to (and cached in) the session, and the session's budget
-    applies unless [?conflict_budget] overrides it.  Cached Sat models
-    are returned as fresh tables — callers may mutate them freely. *)
+    accounted to (and cached in) the session, blasts in the session's
+    arena, and the session's budget applies unless [?conflict_budget]
+    overrides it.  Without a session, a blasted query gets a fresh
+    context; the verdict and model are the same either way.  Cached Sat
+    models are returned as fresh tables — callers may mutate them
+    freely. *)
 
 val validate_model : Expr.t list -> model -> bool
 (** Re-evaluate the constraints under a model (defence in depth: the

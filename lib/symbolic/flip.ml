@@ -51,21 +51,16 @@ let candidates (r : Replay.result) : candidate list =
   | Some lay ->
       let input_vars = layout_var_ids lay in
       let mentions = mentions_input_memo input_vars in
-      let path = Array.of_list r.Replay.r_path in
       let out = ref [] in
-      Array.iteri
+      (* Input-mentioning conditions before the current one, newest
+         first: one forward pass, each condition tested once. *)
+      let rev_prefix = ref [] in
+      List.iteri
         (fun i (cs : Replay.cond_state) ->
+          let mentioned = mentions cs.Replay.cs_cond in
           (* Only branches are flipped; asserts must stay satisfied.  The
              condition must involve symbolic input (§3.4.4). *)
-          if cs.Replay.cs_kind <> Replay.K_assert
-             && mentions cs.Replay.cs_cond
-          then begin
-            let prefix =
-              List.filteri (fun j _ -> j < i) (Array.to_list path)
-              |> List.map (fun (p : Replay.cond_state) -> p.Replay.cs_cond)
-              |> List.filter mentions
-            in
-            let flipped = Expr.not_ cs.Replay.cs_cond in
+          if cs.Replay.cs_kind <> Replay.K_assert && mentioned then
             out :=
               {
                 cand_index = i;
@@ -74,11 +69,12 @@ let candidates (r : Replay.result) : candidate list =
                   (match cs.Replay.cs_kind with
                    | Replay.K_branch -> Some (not cs.Replay.cs_taken)
                    | Replay.K_brtable | Replay.K_assert -> None);
-                cand_constraints = prefix @ [ flipped ];
+                cand_constraints =
+                  List.rev_append !rev_prefix [ Expr.not_ cs.Replay.cs_cond ];
               }
-              :: !out
-          end)
-        path;
+              :: !out;
+          if mentioned then rev_prefix := cs.Replay.cs_cond :: !rev_prefix)
+        r.Replay.r_path;
       (* Deepest conditional first: the newest frontier is the most
          valuable flip, and under a per-execution solve budget it must
          not starve behind branches already explored. *)

@@ -86,6 +86,45 @@ let qcheck_random_3sat =
                 cl)
             !clauses)
 
+(* A reset instance must behave exactly like a fresh one: same verdict,
+   same model bits and same conflict count on the same clauses, whatever
+   the instance held before (here another random instance, solved to
+   completion or stopped at a conflict budget of 1). *)
+let random_3sat rng nv =
+  List.init
+    (int_of_float (4.2 *. float_of_int nv))
+    (fun _ ->
+      List.init 3 (fun _ ->
+          lit (Wasai_support.Rand.int rng nv) ~pos:(Wasai_support.Rand.bool rng)))
+
+let load_3sat s nv clauses =
+  for _ = 1 to nv do
+    ignore (Sat.new_var s)
+  done;
+  List.iter (fun cl -> ignore (Sat.add_clause s cl)) clauses
+
+let qcheck_sat_reset_is_create =
+  QCheck.Test.make ~name:"Sat.reset = Sat.create on random 3-SAT" ~count:60
+    QCheck.(triple (int_bound 1000000) (int_range 8 40) (int_range 8 60))
+    (fun (seed, nv, prior_nv) ->
+      let rng = Wasai_support.Rand.create (Int64.of_int seed) in
+      let prior = random_3sat rng prior_nv in
+      let clauses = random_3sat rng nv in
+      let outcome s budget =
+        let r = Sat.solve ~conflict_budget:budget s in
+        (r, List.init nv (Sat.model_value s), Sat.num_conflicts s)
+      in
+      let fresh = Sat.create () in
+      load_3sat fresh nv clauses;
+      let reused = Sat.create () in
+      load_3sat reused prior_nv prior;
+      ignore (Sat.solve ~conflict_budget:(1 + (seed mod 2)) reused);
+      Sat.reset reused;
+      load_3sat reused nv clauses;
+      Sat.num_vars reused = Sat.num_vars fresh
+      && Sat.num_clauses reused = Sat.num_clauses fresh
+      && outcome fresh 200_000 = outcome reused 200_000)
+
 (* ------------------------------------------------------------------ *)
 (* Expressions                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -523,6 +562,69 @@ let qcheck_cache_verdict_identity =
       && (Solver.Session.stats cached).Solver.st_cache_hits > 0
       && (Solver.Session.stats uncached).Solver.st_cache_hits = 0)
 
+(* The session's solver arena is reset before every blasted query, so a
+   query sequence answered through one session must give, query by query,
+   the verdict and model a fresh context gives.  The sequence mixes
+   satisfiable queries, forced-Unsat ones ([c] with [not c]), and
+   factoring queries at a conflict budget of 1 that stop mid-search with
+   Unknown, leaving learnt clauses and a partial trail in the arena. *)
+let qcheck_session_arena_is_fresh =
+  QCheck.Test.make ~name:"session arena = fresh context on every query"
+    ~count:20
+    QCheck.(pair (int_bound 1000000) (int_range 4 12))
+    (fun (seed, len) ->
+      let rng = Wasai_support.Rand.create (Int64.of_int seed) in
+      let open Expr in
+      let x = fresh_var ~name:"ax" 16 and y = fresh_var ~name:"ay" 16 in
+      let k () = const 16 (Int64.of_int (Wasai_support.Rand.int rng 0x10000)) in
+      let guard () =
+        match Wasai_support.Rand.int rng 3 with
+        | 0 -> cmp Ule (binop Mul (var x) (k ())) (k ())
+        | 1 -> cmp Eq (binop And (binop Add (var x) (var y)) (k ())) (k ())
+        | _ -> cmp Ult (binop Xor (var y) (k ())) (binop Mul (var x) (var y))
+      in
+      let factoring () =
+        let a = fresh_var ~name:"fa" 24 and b = fresh_var ~name:"fb" 24 in
+        [
+          cmp Eq (binop Mul (var a) (var b))
+            (const 24 (Int64.of_int (0x400001 + (2 * Wasai_support.Rand.int rng 0x1000))));
+          cmp Ult (const 24 1L) (var a);
+          cmp Ult (const 24 1L) (var b);
+        ]
+      in
+      let query i =
+        match i mod 4 with
+        | 0 -> (1, factoring ())
+        | 1 ->
+            let c = guard () in
+            (50_000, [ guard (); c; not_ c ])
+        | _ -> (50_000, List.init (1 + Wasai_support.Rand.int rng 3) (fun _ -> guard ()))
+      in
+      let outcome = function
+        | Solver.Sat m ->
+            `Sat (List.sort compare (Hashtbl.fold (fun v x acc -> (v, x) :: acc) m []))
+        | Solver.Unsat -> `Unsat
+        | Solver.Unknown -> `Unknown
+      in
+      let session = Solver.Session.create ~cache_capacity:0 () in
+      let seen = Hashtbl.create 3 in
+      let agree =
+        List.for_all
+          (fun i ->
+            let budget, cs = query i in
+            let via_arena =
+              outcome (Solver.check ~session ~conflict_budget:budget cs)
+            in
+            let fresh = outcome (Solver.check ~conflict_budget:budget cs) in
+            Hashtbl.replace seen
+              (match via_arena with `Sat _ -> 0 | `Unsat -> 1 | `Unknown -> 2)
+              ();
+            via_arena = fresh)
+          (List.init len Fun.id)
+      in
+      agree && Hashtbl.mem seen 1 && Hashtbl.mem seen 2
+      && (Solver.Session.stats session).Solver.st_blasted = len)
+
 let test_session_counters_and_lru () =
   let open Expr in
   let x = fresh_var ~name:"lx" 64 in
@@ -648,6 +750,7 @@ let () =
           Alcotest.test_case "unsat" `Quick test_sat_unsat;
           Alcotest.test_case "pigeonhole" `Quick test_sat_pigeonhole;
           qc qcheck_random_3sat;
+          qc qcheck_sat_reset_is_create;
         ] );
       ( "expr",
         [
@@ -702,6 +805,7 @@ let () =
       ( "session",
         [
           qc qcheck_cache_verdict_identity;
+          qc qcheck_session_arena_is_fresh;
           Alcotest.test_case "counters and LRU eviction" `Quick
             test_session_counters_and_lru;
           Alcotest.test_case "unknown never cached" `Quick

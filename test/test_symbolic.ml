@@ -519,6 +519,74 @@ let test_brtable_and_select_replay () =
   in
   Alcotest.(check bool) "flip reaches a different br_table case" true other_case
 
+(* The quadratic construction [Flip.candidates] replaced: each
+   candidate's prefix re-filters the whole path.  The one-pass version
+   must reproduce it exactly, constraint order included, because the
+   order fixes the CNF and so the solver's models. *)
+let reference_candidates (r : Sym.Replay.result) =
+  match r.Sym.Replay.r_layout with
+  | None -> []
+  | Some lay ->
+      let input_vars = Sym.Flip.layout_var_ids lay in
+      let mentions e =
+        Expr.contains_var_memo (Hashtbl.create 16)
+          (fun v -> Hashtbl.mem input_vars v.Expr.vid)
+          e
+      in
+      let path = Array.of_list r.Sym.Replay.r_path in
+      let out = ref [] in
+      Array.iteri
+        (fun i (cs : Sym.Replay.cond_state) ->
+          if cs.Sym.Replay.cs_kind <> Sym.Replay.K_assert
+             && mentions cs.Sym.Replay.cs_cond
+          then begin
+            let prefix =
+              List.filteri (fun j _ -> j < i) (Array.to_list path)
+              |> List.map (fun (p : Sym.Replay.cond_state) -> p.Sym.Replay.cs_cond)
+              |> List.filter mentions
+            in
+            let dir =
+              match cs.Sym.Replay.cs_kind with
+              | Sym.Replay.K_branch -> Some (not cs.Sym.Replay.cs_taken)
+              | Sym.Replay.K_brtable | Sym.Replay.K_assert -> None
+            in
+            out :=
+              ( i,
+                cs.Sym.Replay.cs_site,
+                dir,
+                List.map Expr.tag (prefix @ [ Expr.not_ cs.Sym.Replay.cs_cond ]) )
+              :: !out
+          end)
+        path;
+      !out
+
+let test_flip_candidates_match_reference () =
+  let samples =
+    BG.Corpus.coverage_set ~count:8 () @ BG.Corpus.verification ~scale:200 ()
+  in
+  let total = ref 0 in
+  List.iter
+    (fun (smp : BG.Corpus.sample) ->
+      let spec = { smp.BG.Corpus.smp_spec with BG.Contracts.sp_account = n "victim" } in
+      let buf, meta, funcs = trace_of_spec ~amount:1234L ~memo:"milestone" spec in
+      let _, res = replay_transfer buf meta funcs in
+      let got =
+        List.map
+          (fun (c : Sym.Flip.candidate) ->
+            ( c.Sym.Flip.cand_index,
+              c.Sym.Flip.cand_site,
+              c.Sym.Flip.cand_flipped_dir,
+              List.map Expr.tag c.Sym.Flip.cand_constraints ))
+          (Sym.Flip.candidates res)
+      in
+      total := !total + List.length got;
+      Alcotest.(check bool)
+        (Printf.sprintf "sample %d candidates" smp.BG.Corpus.smp_id)
+        true
+        (got = reference_candidates res))
+    samples;
+  Alcotest.(check bool) "corpus paths have flip candidates" true (!total > 0)
+
 (* ------------------------------------------------------------------ *)
 (* Differential property: replay soundness                              *)
 (* ------------------------------------------------------------------ *)
@@ -675,6 +743,8 @@ let () =
           Alcotest.test_case "deepest-first ordering" `Quick test_flip_deepest_first;
           Alcotest.test_case "asserts never flipped" `Quick
             test_flip_respects_asserts;
+          Alcotest.test_case "one-pass candidates = quadratic reference" `Quick
+            test_flip_candidates_match_reference;
           Alcotest.test_case "obfuscated replay" `Quick test_replay_obfuscated;
           Alcotest.test_case "br_table and select" `Quick
             test_brtable_and_select_replay;

@@ -712,8 +712,9 @@ let lpt_makespan ~workers units =
 (* Quick local verification (<10 s) of round-space partitioning: on a
    one-dominant-module corpus (queue shallower than the worker pool)
    slicing must (a) leave the verdict untouched — Off vs sliced agree on
-   every flag, K=1 vs K=8 merge byte-identically, and a campaign run
-   with --slices auto journals the same entry line — and (b) cut the
+   every flag, K=1 vs K=8 merge byte-identically, a campaign run with
+   --slices auto journals the same entry line, and one with --slices off
+   journals the whole-target run's entry line — and (b) cut the
    modelled 4-worker makespan by >= 1.5x even though each cell re-pays
    seeding, because the idle workers absorb the split. *)
 let slice_smoke () =
@@ -766,34 +767,49 @@ let slice_smoke () =
       sp_load = (fun () -> target);
     }
   in
-  let report =
-    Campaign.Campaign.run
-      (Campaign.Campaign.make_config ~jobs:2
-         ~slices:Campaign.Campaign.Auto
-         ~engine:(Core.Engine.make_config ~rounds ())
-         ())
-      [ spec ]
-  in
-  let campaign_identity =
+  let campaign_line slices ~jobs =
+    let report =
+      Campaign.Campaign.run
+        (Campaign.Campaign.make_config ~jobs ~slices
+           ~engine:(Core.Engine.make_config ~rounds ())
+           ())
+        [ spec ]
+    in
     match report.Campaign.Campaign.cr_results with
     | [ e ] ->
-        String.equal
+        Some
           (Campaign.Journal.line_of_entry
              { e with Campaign.Journal.je_elapsed = 0.0 })
-          (entry_line (List.map fst k8))
-    | _ -> false
+    | _ -> None
+  in
+  let campaign_identity =
+    campaign_line Campaign.Campaign.Auto ~jobs:2
+    = Some (entry_line (List.map fst k8))
+  in
+  (* --slices off is the one-cell set: its entry must be the whole-target
+     run's, byte for byte *)
+  let off_identity =
+    campaign_line Campaign.Campaign.Off ~jobs:1
+    = Some
+        (Campaign.Journal.line_of_entry
+           (Campaign.Journal.of_outcome ~name ~elapsed:0.0 ~stamp whole))
   in
   (* makespan on 4 workers: Off schedules one indivisible unit (three
      workers idle); sliced schedules the 8 measured slice units *)
   let ms_off = lpt_makespan ~workers:4 [ t_whole ] in
   let ms_sliced = lpt_makespan ~workers:4 (List.map snd k8) in
   let ratio = ms_off /. Float.max 1e-9 ms_sliced in
-  let ok = parity && k_identity && campaign_identity && ratio >= 1.5 in
+  let ok =
+    parity && k_identity && campaign_identity && off_identity && ratio >= 1.5
+  in
   Printf.printf
     "  verdict parity off-vs-sliced: %b   K=1 vs K=8 entry identity: %b\n"
     parity k_identity;
   Printf.printf "  campaign --slices auto journals the same entry: %b\n"
     campaign_identity;
+  Printf.printf
+    "  campaign --slices off journals the whole-target entry: %b\n"
+    off_identity;
   Printf.printf
     "  4-worker makespan (modelled over measured unit costs): whole \
      %.3fs vs 8 slices %.3fs -> %.2fx (target >= 1.5x)\n"
@@ -811,6 +827,11 @@ let slice_smoke () =
           jb_name = "merge_identity";
           jb_bound = "K=1 and K=8 merge to byte-identical entries";
           jb_pass = k_identity && campaign_identity;
+        };
+        {
+          jb_name = "off_identity";
+          jb_bound = "--slices off entry = whole Engine.fuzz entry";
+          jb_pass = off_identity;
         };
         {
           jb_name = "makespan";

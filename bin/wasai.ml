@@ -6,6 +6,8 @@
     - [dump]       print a contract binary in WAT-like text
     - [instrument] rewrite a binary with the trace hooks
     - [baseline]   run the EOSAFE static baseline on a binary
+    - [scan]       fuzz a directory serially and print its campaign
+                   report (a one-job, journal-less [campaign run])
     - [campaign]   fleet campaigns, noun-verb style:
                    [campaign run DIR] fuzzes a directory (or its
                    [--shard i/N] slice) over N domains with a crash-safe
@@ -13,9 +15,7 @@
                    [--corpus] and a [--dry-run] plan printer;
                    [campaign merge J1 J2 ...] validates and merges shard
                    journals into the fleet report; [campaign report]
-                   rebuilds a report from a journal without fuzzing.
-                   Bare [campaign DIR] is a deprecated alias for
-                   [campaign run DIR]
+                   rebuilds a report from a journal without fuzzing
     - [corpus]     seed-corpus maintenance: [corpus stats FILE] summarises
                    coverage, [corpus minimize FILE] rewrites the file to a
                    greedy set-cover subset, [corpus import DST SRC...]
@@ -145,54 +145,6 @@ let instrument_cmd bin_path out_path =
     (Array.length meta.Wasai_wasabi.Trace.sites)
     (String.length bin) (String.length bin')
 
-(* ---- scan ------------------------------------------------------------ *)
-
-let scan_cmd dir rounds backend =
-  let entries = Sys.readdir dir in
-  Array.sort compare entries;
-  let total = ref 0 and vulnerable = ref 0 in
-  let per_flag = Hashtbl.create 8 in
-  Array.iter
-    (fun entry ->
-      if Filename.check_suffix entry ".wasm" then begin
-        incr total;
-        let path = Filename.concat dir entry in
-        let abi_path =
-          let p = path ^ ".abi" in
-          if Sys.file_exists p then Some p else None
-        in
-        let m, abi = load_contract path abi_path in
-        let o =
-          Core.Engine.fuzz
-            ~cfg:(Core.Engine.make_config ~rounds:(rounds) ~backend ())
-            {
-              Core.Engine.tgt_account = Name.of_string "victim";
-              tgt_module = m;
-              tgt_abi = abi;
-            }
-        in
-        let report = Core.Report.make ~abi ~target:entry o in
-        print_endline (Core.Report.summary report);
-        if Core.Report.vulnerable report then begin
-          incr vulnerable;
-          List.iter
-            (fun (f, fired) ->
-              if fired then
-                Hashtbl.replace per_flag f
-                  (1 + Option.value ~default:0 (Hashtbl.find_opt per_flag f)))
-            o.Core.Engine.out_flags
-        end
-      end)
-    entries;
-  Printf.printf "\n%d/%d contracts flagged vulnerable\n" !vulnerable !total;
-  List.iter
-    (fun f ->
-      match Hashtbl.find_opt per_flag f with
-      | Some n -> Printf.printf "  %-14s %d\n" (Core.Scanner.string_of_flag f) n
-      | None -> ())
-    Core.Scanner.all_flags;
-  if !vulnerable > 0 then exit 1
-
 (* ---- report ---------------------------------------------------------- *)
 
 let report_cmd list_oracles =
@@ -241,11 +193,25 @@ let emit_campaign_report ?(telemetry = false) out
    | None -> print_string text);
   if Campaign.Campaign.vulnerable_count report > 0 then exit 1
 
-let campaign_run_cmd ~deprecated common dir rounds backend resume shard seed corpus
+(* ---- scan ------------------------------------------------------------ *)
+
+(* A one-job, journal-less campaign: the same discovery, accounts and
+   report as `campaign run`, so a file gets one verdict whichever command
+   fuzzed it. *)
+let scan_cmd dir rounds backend =
+  let cfg =
+    Campaign.Campaign.make_config ~jobs:1
+      ~engine:(Core.Engine.make_config ~rounds ~backend ())
+      ()
+  in
+  match Campaign.Campaign.run cfg (Campaign.Discover.dir dir) with
+  | report -> emit_campaign_report None report
+  | exception Failure msg ->
+      Printf.eprintf "%s\n" msg;
+      exit 2
+
+let campaign_run_cmd common dir rounds backend resume shard seed corpus
     telemetry slices dry_run =
-  if deprecated then
-    Printf.eprintf
-      "wasai campaign: the bare form is deprecated, use `wasai campaign run`\n%!";
   let targets = Campaign.Discover.dir dir in
   if targets = [] then begin
     Printf.eprintf "campaign: no .wasm/.wat contracts in %s\n" dir;
@@ -625,7 +591,9 @@ let scan_t =
   Cmd.v
     (Cmd.info "scan"
        ~doc:
-         "Fuzz every *.wasm in a directory (with its *.wasm.abi when present) and summarise")
+         "Fuzz every contract in a directory serially and print the \
+          campaign report (a one-job `campaign run` without a journal); \
+          exits 1 when any contract is flagged")
     Term.(const scan_cmd $ dir $ rounds_arg $ backend_arg)
 
 (* The shared `wasai campaign` flag group: --journal, --jobs and --out are
@@ -669,7 +637,7 @@ let shard_conv =
   let print ppf t = Format.pp_print_string ppf (Campaign.Shard.to_string t) in
   Arg.conv (parse, print)
 
-let campaign_run_term ~deprecated =
+let campaign_run_term =
   let dir = Arg.(required & pos 0 (some dir) None & info [] ~docv:"DIR") in
   let resume =
     Arg.(
@@ -737,12 +705,15 @@ let campaign_run_term ~deprecated =
           ~doc:
             "Partition each target's round budget into parallel slices so \
              several domains can work one target at once.  $(b,off) (the \
-             default) keeps whole-target scheduling; $(b,auto) picks a \
-             per-target K from queue depth vs --jobs; a fixed $(b,K) \
-             forces K slices per target (clamped to the round budget's \
-             granularity).  Any slicing yields byte-identical verdicts, \
-             corpus and journal entries whatever K; a resumed journal's \
-             recorded K wins over this flag.")
+             default) runs each target whole, as one cell; $(b,auto) and a \
+             fixed $(b,K) cut the budget into its granularity's cells \
+             (min of rounds and 8), then $(b,auto) picks a per-target K \
+             from queue depth vs --jobs and $(b,K) forces K slices per \
+             target (clamped to the cell count).  Verdicts, corpus and \
+             journal entries are byte-identical for every K of one cell \
+             count; $(b,off) and the sliced modes draw different RNG \
+             streams, so they agree on flags only as far as the search \
+             does.  A resumed journal's recorded K wins over this flag.")
   in
   let dry_run =
     Arg.(
@@ -756,11 +727,7 @@ let campaign_run_term ~deprecated =
   in
   Term.(
     const
-      (fun common dir rounds backend resume shard seed corpus telemetry
-           slices dry_run ->
-        campaign_run_cmd ~deprecated common dir rounds backend resume shard
-          seed corpus telemetry slices dry_run)
-    $ campaign_common_t $ dir $ rounds_arg $ backend_arg $ resume $ shard
+      campaign_run_cmd $ campaign_common_t $ dir $ rounds_arg $ backend_arg $ resume $ shard
     $ seed $ corpus $ telemetry $ slices $ dry_run)
 
 let campaign_t =
@@ -771,7 +738,7 @@ let campaign_t =
            "Fuzz a directory of contracts (*.wasm/*.wat with optional *.abi \
             sidecars) in parallel over OCaml domains, journaling each \
             completed target; exits 1 when any contract is flagged")
-      (campaign_run_term ~deprecated:false)
+      campaign_run_term
   in
   let merge_t =
     let journals =
@@ -802,9 +769,7 @@ let campaign_t =
     (Cmd.info "campaign"
        ~doc:
          "Fleet-scale fuzzing campaigns: $(b,run) a (shard of a) directory, \
-          $(b,merge) shard journals, or re-$(b,report) a journal.  The bare \
-          form `wasai campaign DIR` is a deprecated alias for $(b,run)")
-    ~default:(campaign_run_term ~deprecated:true)
+          $(b,merge) shard journals, or re-$(b,report) a journal")
     [ run_t; merge_t; report_t ]
 
 let corpus_t =
@@ -971,7 +936,8 @@ let submit_t =
             "Ask the daemon to split each submission's round budget into \
              $(docv) parallel slices (the daemon clamps to its round \
              budget's granularity).  The merged verdict is byte-identical \
-             whatever K; 1 (the default) keeps the classic wire form.")
+             for every K > 1; 1 (the default) keeps the classic wire form \
+             and the whole-target run.")
   in
   let shutdown =
     Arg.(
@@ -988,35 +954,12 @@ let submit_t =
     Term.(const submit_cmd $ socket_arg $ tenant $ slices $ path $ shutdown)
 
 let () =
-  (* `wasai campaign DIR` is the deprecated alias for `wasai campaign run
-     DIR`.  Cmdliner's group dispatch rejects DIR as an unknown command
-     before the default term can see it, so rewrite the spelling here. *)
-  let argv =
-    let argv = Sys.argv in
-    if
-      Array.length argv >= 3
-      && argv.(1) = "campaign"
-      && String.length argv.(2) > 0
-      && argv.(2).[0] <> '-'
-      && not (List.mem argv.(2) [ "run"; "merge"; "report" ])
-    then begin
-      Printf.eprintf
-        "wasai campaign: the bare form is deprecated, use `wasai campaign \
-         run`\n%!";
-      Array.concat
-        [
-          [| argv.(0); "campaign"; "run" |];
-          Array.sub argv 2 (Array.length argv - 2);
-        ]
-    end
-    else argv
-  in
   let info =
     Cmd.info "wasai" ~version:"1.0.0"
       ~doc:"Concolic fuzzer for Wasm (EOSIO) smart contracts"
   in
   exit
-    (Cmd.eval ~argv
+    (Cmd.eval
        (Cmd.group info
           [
             analyze_t; gen_t; dump_t; build_t; instrument_t; baseline_t; scan_t;

@@ -24,12 +24,13 @@ type target_spec = {
 
 (** Intra-target parallelism policy: how a target's round budget is cut
     into schedulable slices (see {!Core.Engine.Slice}).  [Off] — the
-    default — is the exact legacy path: whole-target work units, no v5
-    fragment lines, byte-identical journals to earlier builds.  [Auto]
-    lets the scheduler pick K per target from its module size and the
-    remaining queue depth; [Fixed k] slices every target k ways (clamped
-    to the budget's granularity).  The merged results are byte-identical
-    across every K, so the policy only moves wall-clock time. *)
+    default — runs every target as one cell in one slice: the classic
+    whole-target run, no v5 fragment lines.  [Auto] and [Fixed k] cut
+    the budget into its granularity's cells; [Auto] picks K per target
+    from its module size and the remaining queue depth, [Fixed k] slices
+    every target k ways (clamped to the cell count).  Merged results are
+    byte-identical across every K of one cell count, so between the
+    sliced policies only wall-clock time moves. *)
 type slicing = Off | Auto | Fixed of int
 
 let string_of_slicing = function
@@ -307,6 +308,42 @@ let group_fragments ~(context : string) (frags : Journal.fragment list) :
     frags;
   by_name
 
+(* The slice set of every fresh target: name -> (K, slice -> fragment),
+   pre-seeded with the fragments a previous run journaled.  K is the
+   scheduler's choice, except that a target with journaled fragments
+   keeps its recorded K — the queue composition that drove the original
+   decision is gone, and mixing Ks within one slice set cannot merge.
+   Fragments of already-done targets are stale leftovers of the run that
+   merged them and are ignored (their entry line is the truth).  Slicing
+   off cannot finish a pending set, so it refuses one rather than
+   silently dropping paid-for work. *)
+let slice_sets ~context (cfg : config) (fresh : target_spec list)
+    (prior_frags : Journal.fragment list) =
+  let pending = Hashtbl.create 16 in
+  List.iter (fun t -> Hashtbl.replace pending t.sp_name ()) fresh;
+  let recorded =
+    group_fragments ~context
+      (List.filter
+         (fun (f : Journal.fragment) -> Hashtbl.mem pending f.Journal.jf_name)
+         prior_frags)
+  in
+  if cfg.cc_slices = Off && Hashtbl.length recorded > 0 then
+    failwith
+      (Printf.sprintf
+         "%s: the journal holds slice fragments for %d pending target(s); \
+          resume with slicing enabled to finish them (the recorded slice \
+          counts are adopted)"
+         context (Hashtbl.length recorded));
+  let sets = Hashtbl.create 16 in
+  List.iter
+    (fun (name, k) ->
+      Hashtbl.replace sets name
+        (match Hashtbl.find_opt recorded name with
+        | Some set -> set
+        | None -> (k, Hashtbl.create 1)))
+    (decide_slices cfg fresh);
+  sets
+
 (* The corpus seeds each member target would preload, resolved once up
    front; workers read the table concurrently but never write it. *)
 let preloads_of (corpus : Corpus.t) (targets : target_spec list) =
@@ -341,14 +378,30 @@ let corpus_records_of ~(name : string) (stamp : Journal.stamp)
       })
     o.Core.Engine.out_interesting
 
-(* In-flight state of one sliced target: its spec, its slice count, and
-   the fragments (journaled or freshly run) collected so far.  Guarded by
-   the campaign lock. *)
-type slice_agg = {
-  ag_spec : target_spec;
-  ag_count : int;
-  ag_frags : (int, Core.Engine.Slice.fragment) Hashtbl.t;
-}
+(* Durable completion of one target (callers serialise calls that share a
+   corpus or a journal writer): merge its complete slice set, then corpus
+   seeds first and the journal entry second — once a target is journaled
+   as done, a resumed run never re-fuzzes it, so its seeds must already be
+   durable.  The in-memory corpus dedupes against both the loaded file
+   and every earlier commit. *)
+let commit ?corpus ?journal ~name (stamp : Journal.stamp)
+    (frags : Core.Engine.Slice.fragment list) =
+  let merged = Core.Engine.Slice.merge frags in
+  let o = Core.Engine.Slice.outcome_of_fragment merged in
+  let entry =
+    Journal.of_outcome ~name ~elapsed:merged.Core.Engine.Slice.fg_elapsed
+      ~stamp o
+  in
+  (match corpus with
+  | Some (c, w) ->
+      let t_corpus = Telemetry.start () in
+      List.iter
+        (fun r -> if Corpus.add c r then Corpus.Writer.append w r)
+        (corpus_records_of ~name stamp o);
+      Telemetry.stop Telemetry.Corpus_io t_corpus
+  | None -> ());
+  Option.iter (fun w -> Journal.append w entry) journal;
+  (entry, o)
 
 let run (cfg : config) (targets : target_spec list) : report =
   let seen = check_unique "run" targets in
@@ -382,93 +435,43 @@ let run (cfg : config) (targets : target_spec list) : report =
      is a pure function of the corpus file at campaign start, identical
      for every worker count and schedule. *)
   let corpus = load_corpus cfg in
+  let corpus_size0 = Corpus.size corpus in
   let preloads = preloads_of corpus remaining in
   let corpus_preloaded =
     Hashtbl.fold (fun _ seeds acc -> acc + List.length seeds) preloads 0
   in
   let corpus_writer = Option.map Corpus.Writer.open_ cfg.cc_corpus in
-  let corpus_added = ref 0 in
-  let sliced = cfg.cc_slices <> Off in
-  (* Journaled fragments for targets this run still has to fuzz: the
-     partially-completed slice sets resume must reconstruct.  Fragments
-     of already-done targets are stale leftovers of the run that merged
-     them and are ignored (their entry line is the truth). *)
-  let fragments_of =
-    let pending = Hashtbl.create 16 in
-    List.iter (fun t -> Hashtbl.replace pending t.sp_name ()) remaining;
-    group_fragments ~context:"campaign"
-      (List.filter
-         (fun (f : Journal.fragment) -> Hashtbl.mem pending f.Journal.jf_name)
-         prior_frags)
-  in
-  if (not sliced) && Hashtbl.length fragments_of > 0 then
-    failwith
-      (Printf.sprintf
-         "campaign: the journal holds slice fragments for %d pending \
-          target(s); resume with slicing enabled to finish them (the \
-          recorded slice counts are adopted)"
-         (Hashtbl.length fragments_of));
-  (* K per target: the scheduler's choice, except that a target with
-     journaled fragments keeps its recorded K — the queue composition
-     that drove the original decision is gone, and mixing Ks within one
-     slice set cannot merge. *)
-  let slices_of =
-    let planned = decide_slices cfg remaining in
-    fun (t : target_spec) ->
-      match Hashtbl.find_opt fragments_of t.sp_name with
-      | Some (k, _) -> k
-      | None -> ( match List.assoc_opt t.sp_name planned with
-                  | Some k -> k
-                  | None -> 1)
-  in
-  (* Work units: whole targets on the legacy path; slices otherwise,
-     minus the slices whose fragments already reached the journal.  LPT
-     over units — a slice's expected cost is its share of the target's
-     size — with deterministic (name, slice) tie-breaks. *)
-  let work_items =
-    if not sliced then
-      List.map (fun t -> (t, 0, 1)) remaining
+  (* Every target is a set of C cells cut into K slices: C = 1 when
+     slicing is off (the classic whole-target run), the budget's
+     granularity otherwise, so merged results never depend on K. *)
+  let cells =
+    if cfg.cc_slices = Off then 1
     else
-      let units =
-        List.concat_map
-          (fun t ->
-            let k = slices_of t in
-            let recorded =
-              match Hashtbl.find_opt fragments_of t.sp_name with
-              | Some (_, tbl) -> tbl
-              | None -> Hashtbl.create 1
-            in
-            List.filter_map
-              (fun i ->
-                if Hashtbl.mem recorded i then None else Some (t, i, k))
-              (List.init k Fun.id))
-          remaining
-      in
-      List.stable_sort
-        (fun (a, ai, ak) (b, bi, bk) ->
-          match compare (b.sp_size / bk) (a.sp_size / ak) with
-          | 0 -> (
-              match compare a.sp_name b.sp_name with
-              | 0 -> compare ai bi
-              | c -> c)
-          | c -> c)
-        units
+      Core.Engine.Slice.granularity
+        ~rounds:cfg.cc_engine.Core.Engine.cfg_rounds
   in
-  (* One aggregator per sliced target, pre-seeded with its journaled
-     fragments. *)
-  let aggs = Hashtbl.create 16 in
-  if sliced then
-    List.iter
-      (fun t ->
-        let k = slices_of t in
-        let tbl = Hashtbl.create 8 in
-        (match Hashtbl.find_opt fragments_of t.sp_name with
-        | Some (_, recorded) ->
-            Hashtbl.iter (fun i f -> Hashtbl.replace tbl i f) recorded
-        | None -> ());
-        Hashtbl.replace aggs t.sp_name
-          { ag_spec = t; ag_count = k; ag_frags = tbl })
-      remaining;
+  (* Guarded by the campaign lock once workers run. *)
+  let sets = slice_sets ~context:"campaign" cfg remaining prior_frags in
+  (* Work units: every slice whose fragment has not reached the journal.
+     LPT over units — a slice's expected cost is its share of the
+     target's size — with deterministic (name, slice) tie-breaks. *)
+  let work_items =
+    List.stable_sort
+      (fun (a, ai, ak) (b, bi, bk) ->
+        match compare (b.sp_size / bk) (a.sp_size / ak) with
+        | 0 -> (
+            match compare a.sp_name b.sp_name with
+            | 0 -> compare ai bi
+            | c -> c)
+        | c -> c)
+      (List.concat_map
+         (fun t ->
+           let k, frags = Hashtbl.find sets t.sp_name in
+           List.filter_map
+             (fun i -> if Hashtbl.mem frags i then None else Some (t, i, k))
+             (List.init k Fun.id))
+         remaining)
+  in
   let queue = Work_queue.create () in
   Work_queue.push_all queue work_items;
   Work_queue.close queue;
@@ -506,51 +509,29 @@ let run (cfg : config) (targets : target_spec list) : report =
               tx
         | None -> "")
   in
-  (* Durable-completion protocol, shared by both paths (caller holds the
-     lock): corpus seeds first, then the journal entry — once the target
-     is journaled as done, a resumed campaign never re-fuzzes it, so its
-     seeds must already be durable.  The in-memory corpus (mutated only
-     here, under the campaign lock) dedupes against both the loaded file
-     and this run's earlier inserts. *)
-  let complete_target ~name ~elapsed (o : Core.Engine.outcome) =
-    warn_truncated name o;
-    let entry = Journal.of_outcome ~name ~elapsed ~stamp o in
-    (match corpus_writer with
-    | Some w ->
-        let t_corpus = Telemetry.start () in
-        List.iter
-          (fun r ->
-            if Corpus.add corpus r then begin
-              Corpus.Writer.append w r;
-              incr corpus_added
-            end)
-          (corpus_records_of ~name stamp o);
-        Telemetry.stop Telemetry.Corpus_io t_corpus
-    | None -> ());
-    (* Journal next: the entry must be durable before the target is
-       reported as done. *)
-    Option.iter (fun w -> Journal.append w entry) writer;
-    results := entry :: !results;
-    Option.iter (fun f -> f entry) cfg.cc_progress
-  in
-  (* Merge a complete slice set into the target's final result.  The
-     fold is over slices 0..K-1 in order, so the outcome — and with it
-     the journal entry, the corpus additions and the report — is
-     byte-identical for every K of the same budget.  Caller holds the
-     lock. *)
-  let finish_sliced (ag : slice_agg) =
-    let frags =
-      List.init ag.ag_count (fun i -> Hashtbl.find ag.ag_frags i)
-    in
-    let merged = Core.Engine.Slice.merge frags in
-    complete_target ~name:ag.ag_spec.sp_name
-      ~elapsed:merged.Core.Engine.Slice.fg_elapsed
-      (Core.Engine.Slice.outcome_of_fragment merged)
-  in
   (* A target's module is decoded once and shared by its slice workers;
      a racing duplicate load is benign (loads are pure) and the first
      insert wins so every worker fuzzes the same value. *)
   let load_cache = Hashtbl.create 16 in
+  (* Fold a complete slice set into the target's final result and commit
+     it.  The fold is over slices 0..K-1 in order, so the outcome — and
+     with it the journal entry, the corpus additions and the report — is
+     byte-identical for every K of the same cell count.  The module and
+     the fragments are dropped once committed, so a long campaign holds
+     only its in-flight targets.  Caller holds the lock. *)
+  let finish name (k, frags) =
+    Hashtbl.remove load_cache name;
+    let entry, o =
+      commit
+        ?corpus:(Option.map (fun w -> (corpus, w)) corpus_writer)
+        ?journal:writer ~name stamp
+        (List.init k (Hashtbl.find frags))
+    in
+    Hashtbl.reset frags;
+    warn_truncated name o;
+    results := entry :: !results;
+    Option.iter (fun f -> f entry) cfg.cc_progress
+  in
   let load_target (spec : target_spec) =
     match
       Mutex.protect lock (fun () -> Hashtbl.find_opt load_cache spec.sp_name)
@@ -572,53 +553,43 @@ let run (cfg : config) (targets : target_spec list) : report =
      before any worker starts — no work units were queued for them. *)
   Mutex.protect lock (fun () ->
       Hashtbl.iter
-        (fun _ (ag : slice_agg) ->
-          if Hashtbl.length ag.ag_frags = ag.ag_count then finish_sliced ag)
-        aggs);
+        (fun name (k, frags) ->
+          if Hashtbl.length frags = k then finish name (k, frags))
+        sets);
   let worker () =
     let rec loop () =
       match Work_queue.take queue with
       | None -> ()
       | Some (spec, slice, count) ->
+          (* Slices of a partitioned target are first-class units in the
+             telemetry breakdown and in failure reports ([name#i/K]). *)
+          let unit_name =
+            if count = 1 then spec.sp_name
+            else Printf.sprintf "%s#%d/%d" spec.sp_name slice count
+          in
           (try
              (* Attribute every span this domain records — execution,
                 solving, scanning, journaling — to this work unit until
-                the next one is claimed; slices are first-class targets
-                in the telemetry breakdown ([name#i/K]).  Interning is a
-                lock-taking cold path, so skip it when telemetry is
-                off. *)
+                the next one is claimed.  Interning is a lock-taking cold
+                path, so skip it when telemetry is off. *)
              if Telemetry.enabled () then
-               Telemetry.set_target
-                 (Telemetry.target_id
-                    (if sliced then
-                       Printf.sprintf "%s#%d/%d" spec.sp_name slice count
-                     else spec.sp_name));
+               Telemetry.set_target (Telemetry.target_id unit_name);
              let ecfg =
                match Hashtbl.find_opt preloads spec.sp_name with
                | Some seeds ->
                    { cfg.cc_engine with Core.Engine.cfg_preload = seeds }
                | None -> cfg.cc_engine
              in
-             if not sliced then begin
-               let t_load = Telemetry.start () in
-               let target = spec.sp_load () in
-               Telemetry.stop Telemetry.Load_validate t_load;
-               let s0 = Unix.gettimeofday () in
-               let o = Core.Engine.fuzz ~cfg:ecfg target in
-               Mutex.protect lock (fun () ->
-                   complete_target ~name:spec.sp_name
-                     ~elapsed:(Unix.gettimeofday () -. s0)
-                     o)
-             end
-             else begin
-               let target = load_target spec in
-               let frag =
-                 Core.Engine.Slice.run ~cfg:ecfg ~slice ~count target
-               in
-               Mutex.protect lock (fun () ->
-                   (* The fragment line is durable before the slice
-                      counts as done: a crash now costs at most the
-                      in-flight slices, and resume re-runs only those. *)
+             let frag =
+               Core.Engine.Slice.run ~cfg:ecfg ~cells ~slice ~count
+                 (load_target spec)
+             in
+             Mutex.protect lock (fun () ->
+                 (* A fragment line is durable before its slice counts as
+                    done: a crash then costs at most the in-flight slices,
+                    and resume re-runs only those.  A one-slice set needs
+                    none — its entry line follows at once. *)
+                 if count > 1 then
                    Option.iter
                      (fun w ->
                        Journal.append_fragment w
@@ -628,18 +599,12 @@ let run (cfg : config) (targets : target_spec list) : report =
                            jf_frag = frag;
                          })
                      writer;
-                   let ag = Hashtbl.find aggs spec.sp_name in
-                   Hashtbl.replace ag.ag_frags slice frag;
-                   if Hashtbl.length ag.ag_frags = ag.ag_count then
-                     finish_sliced ag)
-             end
+                 let _, frags = Hashtbl.find sets spec.sp_name in
+                 Hashtbl.replace frags slice frag;
+                 if Hashtbl.length frags = count then
+                   finish spec.sp_name (count, frags))
            with exn ->
              let msg = Printexc.to_string exn in
-             let unit_name =
-               if sliced then
-                 Printf.sprintf "%s#%d/%d" spec.sp_name slice count
-               else spec.sp_name
-             in
              Mutex.protect lock (fun () ->
                  failures := (unit_name, msg) :: !failures));
           loop ()
@@ -672,7 +637,7 @@ let run (cfg : config) (targets : target_spec list) : report =
     cr_wall = Unix.gettimeofday () -. t0;
     cr_shard = cfg.cc_shard;
     cr_corpus_preloaded = corpus_preloaded;
-    cr_corpus_added = !corpus_added;
+    cr_corpus_added = Corpus.size corpus - corpus_size0;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -735,23 +700,9 @@ let plan (cfg : config) (targets : target_spec list) : plan =
     | Some n -> take (max 0 n) ordered
     | None -> ordered
   in
-  (* The same K-per-target decision [run] would make, including the
+  (* The same slice sets [run] would build, including the
      recorded-K-wins rule for slice sets a resume would pick back up. *)
-  let fragments_of =
-    let pending = Hashtbl.create 64 in
-    List.iter (fun t -> Hashtbl.replace pending t.sp_name ()) fresh;
-    group_fragments ~context:"plan"
-      (List.filter
-         (fun (f : Journal.fragment) -> Hashtbl.mem pending f.Journal.jf_name)
-         prior_frags)
-  in
-  let planned_k = decide_slices cfg fresh in
-  let k_of name =
-    match Hashtbl.find_opt fragments_of name with
-    | Some (k, _) -> k
-    | None -> (
-        match List.assoc_opt name planned_k with Some k -> k | None -> 1)
-  in
+  let sets = slice_sets ~context:"plan" cfg fresh prior_frags in
   let row ?order t =
     let member = Shard.member cfg.cc_shard t.sp_name in
     {
@@ -764,11 +715,11 @@ let plan (cfg : config) (targets : target_spec list) : plan =
       pr_preload =
         (if member then List.length (Corpus.preload corpus ~target:t.sp_name)
          else 0);
-      pr_slices = (if order = None then 1 else k_of t.sp_name);
+      pr_slices =
+        (if order = None then 1 else fst (Hashtbl.find sets t.sp_name));
       pr_slices_done =
-        (match Hashtbl.find_opt fragments_of t.sp_name with
-        | Some (_, tbl) when order <> None -> Hashtbl.length tbl
-        | _ -> 0);
+        (if order = None then 0
+         else Hashtbl.length (snd (Hashtbl.find sets t.sp_name)));
     }
   in
   let planned = Hashtbl.create 64 in

@@ -1,6 +1,6 @@
 (** Parallel fuzzing-campaign orchestrator.
 
-    Drives {!Core.Engine.fuzz} over an arbitrary set of contracts: a
+    Drives {!Core.Engine.Slice.run} over an arbitrary set of contracts: a
     shared {!Work_queue} drained by N OCaml domains, an optional
     crash-safe {!Journal} enabling resumption after a kill, and an
     aggregation layer merging per-target outcomes into a fleet report.
@@ -14,8 +14,9 @@
     report an unsharded run would have produced.
 
     Determinism: per-target verdicts depend only on
-    [(cfg_engine.cfg_rng_seed, target)] — the engine seeds each target's
-    RNG from its account name (see {!Core.Engine.fuzz}) — and the report
+    [(cfg_engine.cfg_rng_seed, target)] and the cell count the slicing
+    policy implies — the engine seeds each target's RNG from its account
+    name (see {!Core.Engine.fuzz}) — and the report
     is canonicalised by target name, so {!verdicts_text} and
     {!evidence_text} are byte-identical for any [cc_jobs], any
     scheduling, and any sharding of the same target set, provided
@@ -27,17 +28,23 @@ module Metrics = Wasai_support.Metrics
 module Corpus = Wasai_corpus.Corpus
 
 (** Intra-target parallelism policy: how a fresh target's round budget
-    is partitioned into independently schedulable slices
-    ({!Core.Engine.Slice}).  [Off] (the default) is the legacy
-    whole-target path, byte-identical to previous releases including the
-    journal (no v5 fragment lines are written).  [Fixed k] splits every
-    fresh target into [min k granularity] slices.  [Auto] lets the
-    scheduler decide per target: with at least two whole targets per
-    worker domain LPT already saturates the fleet, so nothing is sliced;
-    on a shallow queue each target gets a K proportional to its share of
-    the remaining work.  Whatever the policy and K, merged results are
-    byte-identical to the unpartitioned [Off] run of the same budget —
-    slicing affects wall-clock only. *)
+    is cut into C cells ({!Core.Engine.Slice}) and those into K
+    independently schedulable slices.  [Off] (the default) is C = 1,
+    K = 1: one {!Core.Engine.fuzz} run per target on the classic RNG
+    stream, journaled without v5 fragment lines.  The sliced policies
+    use C = [granularity ~rounds].  [Fixed k] splits every fresh target
+    into [min k C] slices.  [Auto] lets the scheduler decide per target:
+    with at least two whole targets per worker domain LPT already
+    saturates the fleet, so K = 1; on a shallow queue each target gets a
+    K proportional to its share of the remaining work.
+
+    The contract is K-invariance for a fixed C: every K of one policy
+    merges to byte-identical entries, corpus additions and reports.  A
+    sliced policy and [Off] differ in C, so their cells draw different
+    RNG streams; they agree on verdicts only as far as the search
+    converges (the same flags on most targets, not byte-identical
+    entries).  With a one-round budget C = 1 under every policy, so
+    sliced and [Off] runs coincide. *)
 type slicing = Off | Auto | Fixed of int
 
 val string_of_slicing : slicing -> string
@@ -90,9 +97,9 @@ type config = {
           to a build without telemetry. *)
   cc_slices : slicing;
       (** partition fresh targets' round budgets into parallel slices;
-          {!run} journals each completed slice as a v5 fragment line and
-          appends the merged (byte-identical) v4 entry once the set is
-          complete.  Resume adopts the recorded K of any
+          when K > 1 {!run} journals each completed slice as a v5
+          fragment line, and it appends the merged v4 entry once the set
+          is complete.  Resume adopts the recorded K of any
           partially-completed slice set, and refuses to resume a
           journal holding pending fragments when set to [Off]. *)
 }
@@ -201,12 +208,21 @@ val validate_header :
     Raises [Failure] (prefixed with [context]) on mismatch; headerless
     legacy journals pass. *)
 
-val corpus_records_of :
-  name:string -> Journal.stamp -> Core.Engine.outcome -> Corpus.record list
-(** The corpus records a completed target contributes: one per
-    interesting seed in the outcome, stamped with the run's provenance.
-    What {!run} appends to [cc_corpus]; exported so external
-    orchestrators (serve) persist seeds under the same schema. *)
+val commit :
+  ?corpus:Corpus.t * Corpus.Writer.w ->
+  ?journal:Journal.writer ->
+  name:string ->
+  Journal.stamp ->
+  Core.Engine.Slice.fragment list ->
+  Journal.entry * Core.Engine.outcome
+(** Complete one target: {!Core.Engine.Slice.merge} its slice set (which
+    must be complete), then append the outcome's interesting seeds —
+    stamped with the run's provenance and deduped against [corpus] — to
+    the corpus writer, and only then the entry to [journal].  A
+    journaled target is never re-fuzzed on resume, so its seeds must be
+    durable first.  Returns the entry and the merged outcome.  The one
+    completion path of {!run} and of the serve tenant registry; callers
+    serialise calls that share a corpus or a writer. *)
 
 val of_entries : Journal.entry list -> report
 (** Wrap already-journaled entries as a report without fuzzing anything

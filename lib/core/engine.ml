@@ -862,19 +862,21 @@ let any_flagged (o : outcome) = List.exists snd o.out_flags
 
 (** Mergeable work units over a target's round budget.
 
-    The budget is first cut into a {e fixed} number of cells,
-    [granularity ~rounds] of them, each an independent full engine run
-    over its balanced share of the rounds with its own
-    [Rand.mix3]-derived stream.  A {e slice} — the schedulable unit — is
-    a contiguous range of cells, and a fragment is the ordered
-    associative fold of its cells' outcomes.  Because the cell partition
-    never depends on the slice count K, and every merge operation below
-    is associative under ordered contiguous grouping (per-flag OR,
-    first-wins exploit selection, sorted edge union, counter addition,
-    signature-deduplicated concatenation, min/max/first-[Some]), merging
-    the K fragments of {e any} K yields one identical outcome —
+    The budget is first cut into a {e fixed} number of cells C —
+    [granularity ~rounds] of them, or one — each an independent full
+    engine run over its balanced share of the rounds.  A lone cell is
+    plain {!fuzz} on the classic [Rand.mix] stream; the cells of a
+    larger cut draw [Rand.mix3]-derived streams.  A {e slice} — the
+    schedulable unit — is a contiguous range of cells, and a fragment is
+    the ordered associative fold of its cells' outcomes.  Because the
+    cell partition never depends on the slice count K, and every merge
+    operation below is associative under ordered contiguous grouping
+    (per-flag OR, first-wins exploit selection, sorted edge union,
+    counter addition, signature-deduplicated concatenation,
+    min/max/first-[Some]), merging the K fragments of {e any} K yields
+    one identical outcome —
     byte-identical journal lines, corpus additions and reports for
-    K = 1, 2, 4, ... at the same total budget. *)
+    K = 1, 2, 4, ... at the same total budget and cell count. *)
 module Slice = struct
   (* Eight cells keeps every cell a meaningful engine run (>= rounds/8
      rounds of feedback) while still letting a campaign split one
@@ -1031,12 +1033,20 @@ module Slice = struct
       fg_elapsed = a.fg_elapsed +. b.fg_elapsed;
     }
 
-  let run ?profile ?oracles ~cfg ~slice ~count (target : target) : fragment =
-    let g = granularity ~rounds:cfg.cfg_rounds in
+  let run ?profile ?oracles ?cells ~cfg ~slice ~count (target : target) :
+      fragment =
+    let limit = granularity ~rounds:cfg.cfg_rounds in
+    let g = Option.value cells ~default:limit in
+    if g < 1 || g > limit then
+      invalid_arg
+        (Printf.sprintf
+           "Engine.Slice.run: cell count %d outside 1..%d (granularity of a \
+            %d-round budget)"
+           g limit cfg.cfg_rounds);
     if count < 1 || count > g then
       invalid_arg
         (Printf.sprintf
-           "Engine.Slice.run: slice count %d outside 1..%d (granularity of a \
+           "Engine.Slice.run: slice count %d outside 1..%d (cells of a \
             %d-round budget)"
            count g cfg.cfg_rounds);
     if slice < 0 || slice >= count then
@@ -1049,7 +1059,12 @@ module Slice = struct
           let cell = cell_lo + j in
           let ccfg = { cfg with cfg_rounds = share cfg.cfg_rounds g cell } in
           let t0 = Unix.gettimeofday () in
-          let o = fuzz ~cfg:ccfg ?profile ?oracles ~cell target in
+          (* A one-cell set is the whole-target run, classic stream. *)
+          let o =
+            fuzz ~cfg:ccfg ?profile ?oracles
+              ?cell:(if g = 1 then None else Some cell)
+              target
+          in
           fragment_of_outcome ~slice ~count
             ~round_base:(base cfg.cfg_rounds g cell)
             ~elapsed:(Unix.gettimeofday () -. t0)

@@ -258,11 +258,13 @@ val any_flagged : outcome -> bool
 (** Mergeable work units over a target's round budget, for intra-target
     parallelism.
 
-    The budget is cut into a fixed number of {e cells}
-    ([granularity ~rounds] of them, independent of the slice count K);
-    each cell is an independent engine run over its balanced share of
-    the rounds with its own disjoint RNG stream
-    ([Rand.mix3 seed target cell]).  A {e slice} — the unit a scheduler
+    The budget is cut into a fixed number of {e cells} C, independent of
+    the slice count K: [granularity ~rounds] of them for a partitioned
+    run, or one.  Each cell of a C > 1 set is an independent engine run
+    over its balanced share of the rounds with its own disjoint RNG
+    stream ([Rand.mix3 seed target cell]); the single cell of a C = 1 set
+    is exactly {!fuzz} over the whole budget on the classic
+    [Rand.mix seed target] stream.  A {e slice} — the unit a scheduler
     dispatches — is a contiguous range of cells ([slice i] of [count K]),
     and its {!fragment} is the ordered associative fold of its cells'
     outcomes.  Every merge operation (per-flag OR, first-wins exploit
@@ -270,9 +272,11 @@ val any_flagged : outcome -> bool
     signature-deduplicated interesting concatenation, budget min,
     verdict-round max, first-[Some] truncation witness) is associative
     under ordered contiguous grouping, so {!merge} over the K fragments
-    of {e any} K in [1..granularity] produces one identical result:
-    journal lines, corpus additions and reports are byte-identical
-    across slice counts at the same total budget. *)
+    of {e any} K in [1..C] produces one identical result: journal
+    lines, corpus additions and reports are byte-identical across slice
+    counts at the same total budget and cell count.  Different Cs draw
+    from different streams, so they agree on verdicts only as far as the
+    search does. *)
 module Slice : sig
   val max_cells : int
   (** The fixed cell-count ceiling (8). *)
@@ -316,16 +320,20 @@ module Slice : sig
   val run :
     ?profile:Chain_profile.t ->
     ?oracles:(Wasabi.Trace.meta -> Scanner.custom_oracle list) ->
+    ?cells:int ->
     cfg:config ->
     slice:int ->
     count:int ->
     target ->
     fragment
-  (** Execute slice [slice] of a [count]-way partition of [cfg]'s round
-      budget: run each cell in the slice's contiguous range and fold the
-      outcomes.  Raises [Invalid_argument] when [count] is outside
-      [1..granularity ~rounds:cfg.cfg_rounds] or [slice] outside
-      [0..count-1]. *)
+  (** Execute slice [slice] of a [count]-way partition of a [cells]-cell
+      cut of [cfg]'s round budget ([cells] defaults to
+      [granularity ~rounds:cfg.cfg_rounds]): run each cell in the slice's
+      contiguous range and fold the outcomes.  [~cells:1 ~slice:0
+      ~count:1] is one {!fuzz} call, so merging its lone fragment gives
+      back that run's outcome.  Raises [Invalid_argument] when [cells] is
+      outside [1..granularity ~rounds:cfg.cfg_rounds], [count] outside
+      [1..cells] or [slice] outside [0..count-1]. *)
 
   val merge : fragment list -> fragment
   (** Fold a complete slice set into one whole-run fragment.  The list

@@ -68,5 +68,6 @@ val submit_batch :
     reply sleeps for the daemon's [retry-after] hint and resubmits.
     [slices] (default 1 — the classic wire form) asks the daemon to
     partition each submission's round budget into K parallel slices;
-    the daemon clamps K and the verdict is byte-identical whatever K.
+    the daemon clamps K, and the verdict is byte-identical for every
+    K > 1.
     Raises {!Protocol_error} on a protocol-level failure. *)

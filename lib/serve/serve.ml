@@ -69,8 +69,8 @@ type job = {
   jb_wasm : string;
   jb_abi : string option;
   jb_submitted : float;
-  jb_slice : int;  (** 0-based slice index (0 on the whole-target path) *)
-  jb_count : int;  (** K; 1 = classic whole-target job *)
+  jb_slice : int;  (** 0-based slice index *)
+  jb_count : int;  (** K; 1 = classic whole-target job (one cell) *)
 }
 
 type tenant_state = {
@@ -130,26 +130,16 @@ let wake t =
 (* Tenant registry                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Fold a tenant's complete slice set for [name] into its final journal
-   entry, with the campaign durability discipline: corpus seeds first,
-   then the (byte-identical for every K) merged v4 entry.  Caller holds
-   the daemon lock, or is single-threaded (tenant load). *)
+(* Commit a tenant's complete slice set for [name] through the campaign
+   completion path (corpus seeds, then the merged v4 entry).  Caller
+   holds the daemon lock, or is single-threaded (tenant load). *)
 let merge_slice_set ~stamp (tn : tenant_state) name : Journal.entry =
   let k, tbl = Hashtbl.find tn.tn_frags name in
-  let merged = Core.Engine.Slice.merge (List.init k (Hashtbl.find tbl)) in
-  let outcome = Core.Engine.Slice.outcome_of_fragment merged in
-  let entry =
-    Journal.of_outcome ~name
-      ~elapsed:merged.Core.Engine.Slice.fg_elapsed
-      ~stamp outcome
+  let entry, _ =
+    Campaign.commit ~corpus:(tn.tn_corpus, tn.tn_corpus_w)
+      ~journal:tn.tn_journal ~name stamp
+      (List.init k (Hashtbl.find tbl))
   in
-  let t_corpus = Telemetry.start () in
-  List.iter
-    (fun r ->
-      if Corpus.add tn.tn_corpus r then Corpus.Writer.append tn.tn_corpus_w r)
-    (Campaign.corpus_records_of ~name stamp outcome);
-  Telemetry.stop Telemetry.Corpus_io t_corpus;
-  Journal.append tn.tn_journal entry;
   Hashtbl.replace tn.tn_done name entry;
   Hashtbl.remove tn.tn_frags name;
   entry
@@ -262,23 +252,25 @@ let target_of_job (jb : job) : Core.Engine.target =
   Telemetry.stop Telemetry.Load_validate t_load;
   { Core.Engine.tgt_account = account; tgt_module = m; tgt_abi = abi }
 
-let run_job (t : t) (jb : job) : Core.Engine.outcome =
-  (* Attribute this domain's spans to the submission until the next job. *)
-  if Telemetry.enabled () then
-    Telemetry.set_target (Telemetry.target_id (jb.jb_tenant ^ "/" ^ jb.jb_name));
-  Core.Engine.fuzz ~cfg:t.cfg.sv_engine (target_of_job jb)
-
-(* One slice of a partitioned submission: same decode, but only the
-   slice's cell range of the round budget runs; spans are attributed per
-   (submission, slice). *)
-let run_slice (t : t) (jb : job) : Core.Engine.Slice.fragment =
+(* One slice of a submission.  A single-slice job is the classic
+   whole-target run (one cell); a K > 1 set always cuts the budget into
+   its granularity's cells, so its merge is K-invariant.  Spans are
+   attributed per submission, or per (submission, slice) when split. *)
+let run_unit (t : t) (jb : job) : Core.Engine.Slice.fragment =
+  let cfg = t.cfg.sv_engine in
   if Telemetry.enabled () then
     Telemetry.set_target
       (Telemetry.target_id
-         (Printf.sprintf "%s/%s#%d/%d" jb.jb_tenant jb.jb_name jb.jb_slice
-            jb.jb_count));
-  Core.Engine.Slice.run ~cfg:t.cfg.sv_engine ~slice:jb.jb_slice
-    ~count:jb.jb_count (target_of_job jb)
+         (if jb.jb_count = 1 then jb.jb_tenant ^ "/" ^ jb.jb_name
+          else
+            Printf.sprintf "%s/%s#%d/%d" jb.jb_tenant jb.jb_name jb.jb_slice
+              jb.jb_count));
+  let cells =
+    if jb.jb_count = 1 then 1
+    else Core.Engine.Slice.granularity ~rounds:cfg.Core.Engine.cfg_rounds
+  in
+  Core.Engine.Slice.run ~cfg ~cells ~slice:jb.jb_slice ~count:jb.jb_count
+    (target_of_job jb)
 
 let drop_inflight t jb =
   match Hashtbl.find_opt t.tenants jb.jb_tenant with
@@ -315,64 +307,26 @@ let worker (t : t) () =
            (* Simulated kill -9: the job dies un-journaled, exactly as a
               queued submission would under a real SIGKILL. *)
            Mutex.protect t.lock (fun () -> drop_inflight t jb)
-         else if jb.jb_count = 1 then begin
-           let started = Unix.gettimeofday () in
-           match run_job t jb with
-           | outcome ->
-               let elapsed = Unix.gettimeofday () -. started in
-               let entry =
-                 Journal.of_outcome ~name:jb.jb_name ~elapsed ~stamp:t.stamp
-                   outcome
-               in
-               let recs =
-                 Campaign.corpus_records_of ~name:jb.jb_name t.stamp outcome
-               in
-               Mutex.protect t.lock (fun () ->
-                   match Hashtbl.find_opt t.tenants jb.jb_tenant with
-                   | None -> ()
-                   | Some tn ->
-                       (* Seeds reach disk before the journal line: a
-                          journaled target is never re-fuzzed on
-                          resume, so a seed lost here would be lost
-                          forever (campaign discipline). *)
-                       let t_corpus = Telemetry.start () in
-                       List.iter
-                         (fun r ->
-                           if Corpus.add tn.tn_corpus r then
-                             Corpus.Writer.append tn.tn_corpus_w r)
-                         recs;
-                       Telemetry.stop Telemetry.Corpus_io t_corpus;
-                       Journal.append tn.tn_journal entry;
-                       Hashtbl.replace tn.tn_done jb.jb_name entry;
-                       finish_submission t jb ~started tn entry)
-           | exception e ->
-               let reason = Printexc.to_string e in
-               Mutex.protect t.lock (fun () ->
-                   drop_inflight t jb;
-                   Queue.add
-                     ( jb.jb_conn,
-                       Wire.Err { rp_name = Some jb.jb_name; rp_reason = reason }
-                     )
-                     t.completions)
-         end
          else begin
            let started = Unix.gettimeofday () in
-           match run_slice t jb with
+           match run_unit t jb with
            | frag ->
                Mutex.protect t.lock (fun () ->
                    match Hashtbl.find_opt t.tenants jb.jb_tenant with
                    | None -> ()
                    | Some tn ->
-                       (* The fragment line is durable before the slice
-                          counts as done: a daemon crash costs at most
-                          the in-flight slices, and a resumed daemon
-                          reconstructs the set from these lines. *)
-                       Journal.append_fragment tn.tn_journal
-                         {
-                           Journal.jf_name = jb.jb_name;
-                           jf_stamp = t.stamp;
-                           jf_frag = frag;
-                         };
+                       (* The fragment line of a split submission is
+                          durable before the slice counts as done: a
+                          daemon crash costs at most the in-flight slices,
+                          and a resumed daemon reconstructs the set from
+                          these lines. *)
+                       if jb.jb_count > 1 then
+                         Journal.append_fragment tn.tn_journal
+                           {
+                             Journal.jf_name = jb.jb_name;
+                             jf_stamp = t.stamp;
+                             jf_frag = frag;
+                           };
                        let k, tbl =
                          match Hashtbl.find_opt tn.tn_frags jb.jb_name with
                          | Some kt -> kt
@@ -407,8 +361,10 @@ let worker (t : t) () =
                            {
                              rp_name = Some jb.jb_name;
                              rp_reason =
-                               Printf.sprintf "slice %d/%d: %s" jb.jb_slice
-                                 jb.jb_count reason;
+                               (if jb.jb_count = 1 then reason
+                                else
+                                  Printf.sprintf "slice %d/%d: %s" jb.jb_slice
+                                    jb.jb_count reason);
                            } )
                        t.completions
                    end)

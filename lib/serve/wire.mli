@@ -80,9 +80,10 @@ type request =
           (** partition this submission's round budget into K parallel
               slices ({!Wasai_campaign.Campaign.slicing}); 1 (the
               default, and the classic 6-field line byte for byte) =
-              whole-target.  The daemon clamps K to the budget's
-              granularity; the merged verdict is byte-identical
-              whatever K. *)
+              the whole-target run.  The daemon clamps K to the budget's
+              granularity; every K > 1 merges to one byte-identical
+              verdict (a one-cell run draws a different RNG stream, so
+              K = 1 agrees with it on flags, not bytes). *)
     }
   | Ping
   | Stats of string  (** tenant *)

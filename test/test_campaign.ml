@@ -1002,6 +1002,43 @@ let test_slice_off_parity () =
     (Campaign.Campaign.flags_text off)
     (Campaign.Campaign.flags_text sliced)
 
+(* --slices off is the one-cell set: merging the lone fragment of
+   [~cells:1 ~slice:0 ~count:1] must give back the very journal line of
+   the whole-target run, on both backends and warm (corpus-preloaded) —
+   in particular its branch count, the size of the union of the
+   interesting covers, must equal the engine's coverage-map size. *)
+let test_one_cell_round_trip () =
+  List.iter
+    (fun backend ->
+      List.iter
+        (fun (spec : Campaign.Campaign.target_spec) ->
+          let t = spec.Campaign.Campaign.sp_load () in
+          let name = spec.Campaign.Campaign.sp_name in
+          let cold = Core.Engine.make_config ~rounds:6 ~backend () in
+          let preload =
+            List.map
+              (fun (i : Core.Engine.interesting) ->
+                (i.Core.Engine.is_action, i.Core.Engine.is_args))
+              (Core.Engine.fuzz ~cfg:cold t).Core.Engine.out_interesting
+          in
+          let cfg = { cold with Core.Engine.cfg_preload = preload } in
+          let line o =
+            Campaign.Journal.line_of_entry
+              (Campaign.Journal.of_outcome ~name ~elapsed:0.0 o)
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s is preloaded" name)
+            true (preload <> []);
+          Alcotest.(check string)
+            (Printf.sprintf "one-cell merge = Engine.fuzz (%s, %s)" name
+               (Core.Exec_backend.to_string backend))
+            (line (Core.Engine.fuzz ~cfg t))
+            (line
+               (Slice.outcome_of_fragment
+                  (Slice.merge [ Slice.run ~cfg ~cells:1 ~slice:0 ~count:1 t ]))))
+        (test_targets ~count:4))
+    [ Core.Exec_backend.Interp; Core.Exec_backend.Compiled ]
+
 (* Crash mid-slice-set: drop the final merged entry and one fragment
    from a K=4 journal, then resume.  The recorded K must be adopted
    (even under a different requested policy), only the missing slice
@@ -1258,6 +1295,8 @@ let () =
             `Quick test_slice_merge_identity;
           Alcotest.test_case "off/sliced verdict parity" `Quick
             test_slice_off_parity;
+          Alcotest.test_case "one-cell round trip = Engine.fuzz" `Quick
+            test_one_cell_round_trip;
           Alcotest.test_case "resume mid-slice-set" `Quick
             test_slice_resume_mid_set;
           Alcotest.test_case "v4 journal resumes under slicing" `Quick

@@ -536,6 +536,74 @@ let test_serve_backpressure () =
             (List.length contracts)
             (List.length batch.Serve.Client.bt_verdicts)))
 
+(* The worker's failure arm, unsliced and sliced: a module that fails
+   to decode gets exactly one ERR per submission (sibling slice failures
+   stay silent), leaves nothing in flight, and is admitted again on
+   resubmission.  One worker drains the FIFO queue in order and depth=1
+   turns anything left in flight into a BUSY, so a good submission's
+   verdict arriving with no stray reply before it proves every failed
+   slice is accounted for. *)
+let test_worker_failure_arm () =
+  List.iter
+    (fun slices ->
+      let dir = scratch (Printf.sprintf "fail%d" slices) in
+      let cfg =
+        Serve.Serve.make_config ~root:(Filename.concat dir "root")
+          ~socket:(Filename.concat dir "s.sock") ~jobs:1 ~depth:1
+          ~engine:(engine 6) ()
+      in
+      let tag what = Printf.sprintf "slices=%d: %s" slices what in
+      with_daemon cfg (fun _ ->
+          let c = connect_retry cfg.Serve.Serve.sv_socket in
+          Fun.protect
+            ~finally:(fun () -> Serve.Client.close c)
+            (fun () ->
+              let submit name wasm =
+                Serve.Client.send c
+                  (Serve.Wire.Submit
+                     {
+                       rq_tenant = "alice";
+                       rq_name = name;
+                       rq_wasm = wasm;
+                       rq_abi = None;
+                       rq_slices = slices;
+                     })
+              in
+              let expect what ok =
+                let r = Serve.Client.next c in
+                if not (ok r) then
+                  Alcotest.fail
+                    (tag (what ^ ", got " ^ Serve.Wire.line_of_response r))
+              in
+              let queued = function Serve.Wire.Queued _ -> true | _ -> false in
+              let failed = function
+                | Serve.Wire.Err { rp_name = Some "badmod"; _ } -> true
+                | _ -> false
+              in
+              (* a truncated section: the magic and version are fine *)
+              let bad = "\x00asm\x01\x00\x00\x00\x01\xff" in
+              submit "badmod" bad;
+              expect "first submission queued" queued;
+              expect "one ERR for the first submission" failed;
+              submit "badmod" bad;
+              expect "resubmission admitted, not BUSY" queued;
+              expect "one ERR for the resubmission" failed;
+              let name, wasm, abi = List.hd (sample_contracts ~count:1) in
+              Serve.Client.send c
+                (Serve.Wire.Submit
+                   {
+                     rq_tenant = "alice";
+                     rq_name = name;
+                     rq_wasm = wasm;
+                     rq_abi = Some abi;
+                     rq_slices = 1;
+                   });
+              expect "nothing left in flight" queued;
+              expect "no stray reply before the next verdict" (function
+                | Serve.Wire.Verdict _ -> true
+                | _ -> false))))
+    [ 1; 4 ]
+
 (* ------------------------------------------------------------------ *)
 (* Restart safety                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -680,6 +748,8 @@ let () =
             `Quick test_serve_parity_and_cache;
           Alcotest.test_case "saturated queue answers BUSY" `Quick
             test_serve_backpressure;
+          Alcotest.test_case "undecodable module: one ERR, then admitted"
+            `Quick test_worker_failure_arm;
         ] );
       ( "restart",
         [
